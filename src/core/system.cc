@@ -89,6 +89,7 @@ Result<std::unique_ptr<System>> System::Create(Options options) {
   // the execution context to every operator. parallelism <= 1 keeps
   // the serial path (no pool at all).
   sys->ctx_.exec.morsel_rows = sys->options_.query_morsel_rows;
+  sys->ctx_.clock = sys->options_.clock;
   if (sys->options_.query_parallelism > 1) {
     sys->query_pool_ =
         std::make_unique<ThreadPool>(sys->options_.query_parallelism);

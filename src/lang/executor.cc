@@ -1,7 +1,6 @@
 #include "lang/executor.h"
 
 #include <algorithm>
-#include <chrono>
 #include <map>
 #include <mutex>
 #include <set>
@@ -19,7 +18,7 @@ namespace structura::lang {
 namespace {
 
 /// Span name per plan node type (string literals: process-lifetime, as
-/// the trace ring requires). Recursive ExecutePlan() calls nest, so a
+/// the trace ring requires). Recursive Evaluate() calls nest, so a
 /// trace of one query renders as its plan tree.
 const char* PlanSpanName(PlanNode::Type t) {
   switch (t) {
@@ -126,7 +125,6 @@ Result<query::Relation> ExecuteExtract(const PlanNode& plan,
       }
       const ie::Extractor* op = ops[op_index];
       ++*runs;
-      obs::ChargeCost(obs::CostDim::kExtractorCalls, 1);
       for (const ie::ExtractedFact& fact : op->Extract(doc)) {
         if (plan.min_confidence >= 0 &&
             fact.confidence < plan.min_confidence) {
@@ -153,7 +151,10 @@ Result<query::Relation> ExecuteExtract(const PlanNode& plan,
       STRUCTURA_RETURN_IF_ERROR(ctx->interrupt.Check());
       ++ctx->docs_scanned;
       rows.clear();
-      extract_doc(ctx->docs->docs[d], &rows, &ctx->extractor_runs);
+      size_t runs = 0;
+      extract_doc(ctx->docs->docs[d], &rows, &runs);
+      ctx->extractor_runs += runs;
+      obs::ChargeCost(obs::CostDim::kExtractorCalls, runs);
       for (query::Row& row : rows) {
         STRUCTURA_RETURN_IF_ERROR(out.Append(std::move(row)));
       }
@@ -181,12 +182,17 @@ Result<query::Relation> ExecuteExtract(const PlanNode& plan,
       extract_doc(ctx->docs->docs[selected[i]], &parts[m], &runs[m]);
     }
   });
+  // Pool workers run outside the request's cost context, so the calls
+  // they made are charged here, on the calling thread, once.
+  size_t total_runs = 0;
+  for (size_t r : runs) total_runs += r;
+  ctx->extractor_runs += total_runs;
+  obs::ChargeCost(obs::CostDim::kExtractorCalls, total_runs);
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
   }
   ctx->docs_scanned += selected.size();
   for (size_t m = 0; m < morsels; ++m) {
-    ctx->extractor_runs += runs[m];
     for (query::Row& row : parts[m]) {
       STRUCTURA_RETURN_IF_ERROR(out.Append(std::move(row)));
     }
@@ -307,73 +313,92 @@ bool PlanIsCacheable(const PlanNode& plan) {
   return true;
 }
 
-}  // namespace
-
-Result<query::Relation> ExecutePlan(const PlanNode& plan,
-                                    ExecutionContext* ctx) {
-  obs::ScopedSpan span(PlanSpanName(plan.type));
-  static obs::Counter* nodes =
-      obs::MetricsRegistry::Default().GetCounter("query.eval.nodes");
-  nodes->Increment();
+/// Runs one operator over its already-evaluated inputs.
+Result<query::Relation> RunOperator(
+    const PlanNode& plan, ExecutionContext* ctx,
+    const std::vector<const query::Relation*>& in) {
   switch (plan.type) {
     case PlanNode::Type::kScanDocs:
       return Status::Internal("ScanDocs cannot execute standalone");
     case PlanNode::Type::kExtract:
       return ExecuteExtract(plan, ctx);
-    case PlanNode::Type::kViewRef: {
-      auto it = ctx->views.find(plan.view);
-      if (it == ctx->views.end()) {
-        return Status::NotFound("unknown view: " + plan.view);
-      }
-      return it->second;
-    }
-    case PlanNode::Type::kFilter: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::Filter(in, plan.conditions, ctx->interrupt, ctx->exec);
-    }
-    case PlanNode::Type::kProject: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::Project(in, plan.columns, ctx->interrupt, ctx->exec);
-    }
-    case PlanNode::Type::kJoin: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation left,
-                                 ExecutePlan(*plan.children[0], ctx));
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation right,
-                                 ExecutePlan(*plan.children[1], ctx));
-      return query::HashJoin(left, right, plan.join_left_col,
+    case PlanNode::Type::kViewRef:
+      return Status::Internal("a view is read, not run");
+    case PlanNode::Type::kFilter:
+      return query::Filter(*in[0], plan.conditions, ctx->interrupt,
+                           ctx->exec);
+    case PlanNode::Type::kProject:
+      return query::Project(*in[0], plan.columns, ctx->interrupt, ctx->exec);
+    case PlanNode::Type::kJoin:
+      return query::HashJoin(*in[0], *in[1], plan.join_left_col,
                              plan.join_right_col, "r_", ctx->interrupt,
                              ctx->exec);
-    }
-    case PlanNode::Type::kDistinct: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::Distinct(in);
-    }
-    case PlanNode::Type::kAggregate: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::Aggregate(in, plan.columns, plan.aggs, ctx->interrupt,
-                              ctx->exec);
-    }
-    case PlanNode::Type::kResolve: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return ExecuteResolve(plan, ctx, in);
-    }
-    case PlanNode::Type::kOrderBy: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::OrderBy(in, plan.order_column, plan.descending);
-    }
-    case PlanNode::Type::kLimit: {
-      STRUCTURA_ASSIGN_OR_RETURN(query::Relation in,
-                                 ExecutePlan(*plan.children[0], ctx));
-      return query::Limit(in, plan.limit);
-    }
+    case PlanNode::Type::kDistinct:
+      return query::Distinct(*in[0]);
+    case PlanNode::Type::kAggregate:
+      return query::Aggregate(*in[0], plan.columns, plan.aggs,
+                              ctx->interrupt, ctx->exec);
+    case PlanNode::Type::kResolve:
+      return ExecuteResolve(plan, ctx, *in[0]);
+    case PlanNode::Type::kOrderBy:
+      return query::OrderBy(*in[0], plan.order_column, plan.descending);
+    case PlanNode::Type::kLimit:
+      return query::Limit(*in[0], plan.limit);
   }
   return Status::Internal("unknown plan node");
+}
+
+/// Evaluates `plan`. A bound view is read in place: the result points
+/// into ctx->views and its rows are added to *rows_scanned. Any other
+/// node's output is stored in *out and the result points there, so only
+/// operator outputs are ever copied or owned.
+Result<const query::Relation*> Evaluate(const PlanNode& plan,
+                                        ExecutionContext* ctx,
+                                        query::Relation* out,
+                                        uint64_t* rows_scanned) {
+  obs::ScopedSpan span(PlanSpanName(plan.type));
+  static obs::Counter* nodes =
+      obs::MetricsRegistry::Default().GetCounter("query.eval.nodes");
+  nodes->Increment();
+  if (plan.type == PlanNode::Type::kViewRef) {
+    auto it = ctx->views.find(plan.view);
+    if (it == ctx->views.end()) {
+      return Status::NotFound("unknown view: " + plan.view);
+    }
+    obs::ChargeCost(obs::CostDim::kRowsScanned, it->second.size());
+    *rows_scanned += it->second.size();
+    return &it->second;
+  }
+  // Operator inputs (EXTRACT's ScanDocs child is not one): a view child
+  // is read in place; any other child's output lives on this frame
+  // until the operator has consumed it.
+  size_t inputs =
+      plan.type == PlanNode::Type::kExtract ? 0 : plan.children.size();
+  std::vector<query::Relation> owned(inputs);
+  std::vector<const query::Relation*> in(inputs);
+  for (size_t i = 0; i < inputs; ++i) {
+    STRUCTURA_ASSIGN_OR_RETURN(
+        in[i], Evaluate(*plan.children[i], ctx, &owned[i], rows_scanned));
+  }
+  STRUCTURA_ASSIGN_OR_RETURN(*out, RunOperator(plan, ctx, in));
+  return out;
+}
+
+}  // namespace
+
+Result<query::Relation> ExecutePlan(const PlanNode& plan,
+                                    ExecutionContext* ctx,
+                                    uint64_t* rows_scanned) {
+  uint64_t scanned = 0;
+  query::Relation out;
+  STRUCTURA_ASSIGN_OR_RETURN(const query::Relation* rel,
+                             Evaluate(plan, ctx, &out, &scanned));
+  if (rows_scanned != nullptr) *rows_scanned = scanned;
+  // A bare view reference (SELECT * FROM v) hands back an owned copy:
+  // the caller's result must not alias a view a later statement may
+  // redefine or refresh.
+  if (rel != &out) return *rel;
+  return out;
 }
 
 std::string PlanCost::ToString() const {
@@ -479,9 +504,11 @@ Result<Interpreter::StatementResult> Interpreter::RunStatement(
       return result;
     }
   }
-  auto exec_start = std::chrono::steady_clock::now();
+  Clock* clock = Clock::OrReal(ctx_->clock);
+  int64_t exec_start = clock->NowNanos();
+  uint64_t rows_scanned = 0;
   STRUCTURA_ASSIGN_OR_RETURN(query::Relation rel,
-                             ExecutePlan(*plan, ctx_));
+                             ExecutePlan(*plan, ctx_, &rows_scanned));
   if (stmt.kind == Statement::Kind::kCreateView) {
     ctx_->views[stmt.view_name] = std::move(rel);
     // Remember EXTRACT definitions so REFRESH VIEW can re-run them
@@ -503,10 +530,8 @@ Result<Interpreter::StatementResult> Interpreter::RunStatement(
       obs::CostVector cost;
       cost.v[static_cast<size_t>(obs::CostDim::kCpuNanos)] =
           static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - exec_start)
-                  .count());
-      cost.v[static_cast<size_t>(obs::CostDim::kRowsScanned)] = rel.size();
+              std::max<int64_t>(0, clock->NowNanos() - exec_start));
+      cost.v[static_cast<size_t>(obs::CostDim::kRowsScanned)] = rows_scanned;
       ctx_->cache->Insert(fingerprint, std::move(at), rel, cost);
     }
     result.relation = std::move(rel);

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/cancellation.h"
+#include "common/clock.h"
 #include "hi/task.h"
 #include "ie/extractor.h"
 #include "ii/matcher.h"
@@ -76,6 +77,10 @@ struct ExecutionContext {
   /// brownout, critical health) and per-request no-cache bypass here.
   std::function<bool()> cache_gate;
 
+  /// Clock for the execution time recorded with cached results
+  /// (non-owning; null = the real clock).
+  Clock* clock = nullptr;
+
   /// Execution counters (reset by the caller as needed).
   size_t docs_scanned = 0;
   size_t extractor_runs = 0;      // (doc, extractor) invocations
@@ -101,9 +106,12 @@ struct ExecutionContext {
 
 /// Executes a logical plan, producing a relation. Extraction relations
 /// have columns: doc, title, category, subject, attribute, value,
-/// confidence, extractor.
+/// confidence, extractor. Operators read bound views in place; each
+/// view read charges its row count as kRowsScanned, and the total is
+/// stored in *rows_scanned when given.
 Result<query::Relation> ExecutePlan(const PlanNode& plan,
-                                    ExecutionContext* ctx);
+                                    ExecutionContext* ctx,
+                                    uint64_t* rows_scanned = nullptr);
 
 /// Cost estimate for a plan: documents the scan will touch and the total
 /// extractor work (sum of per-doc cost units across extractors). Used by

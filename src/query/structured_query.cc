@@ -72,24 +72,34 @@ Result<Relation> ExecuteStructuredQuery(const StructuredQuery& q,
   obs::ScopedLatency record_latency(latency);
   obs::ChargeCost(obs::CostDim::kRowsScanned, source.size());
   STRUCTURA_RETURN_IF_ERROR(intr.Check());
-  Relation current = source;
+  // Each step reads `*in` — the source view in place until an operator
+  // has produced an owned output — and writes `out`.
+  const Relation* in = &source;
+  Relation out;
   if (!q.where.empty()) {
-    STRUCTURA_ASSIGN_OR_RETURN(current, Filter(current, q.where, intr, opts));
+    STRUCTURA_ASSIGN_OR_RETURN(out, Filter(*in, q.where, intr, opts));
+    in = &out;
   }
   STRUCTURA_RETURN_IF_ERROR(intr.Check());
   if (!q.aggregates.empty() || !q.group_by.empty()) {
     STRUCTURA_ASSIGN_OR_RETURN(
-        current, Aggregate(current, q.group_by, q.aggregates, intr, opts));
+        out, Aggregate(*in, q.group_by, q.aggregates, intr, opts));
+    in = &out;
   } else if (!q.select.empty()) {
-    STRUCTURA_ASSIGN_OR_RETURN(current, Project(current, q.select, intr, opts));
+    STRUCTURA_ASSIGN_OR_RETURN(out, Project(*in, q.select, intr, opts));
+    in = &out;
   }
   STRUCTURA_RETURN_IF_ERROR(intr.Check());
   if (!q.order_by.empty()) {
-    STRUCTURA_ASSIGN_OR_RETURN(current,
-                               OrderBy(current, q.order_by, q.descending));
+    STRUCTURA_ASSIGN_OR_RETURN(out, OrderBy(*in, q.order_by, q.descending));
+    in = &out;
   }
-  if (q.limit > 0) current = Limit(current, q.limit);
-  return current;
+  if (q.limit > 0) {
+    out = Limit(*in, q.limit);
+    in = &out;
+  }
+  if (in == &source) return source;  // no operator ran: an owned copy
+  return out;
 }
 
 }  // namespace structura::query

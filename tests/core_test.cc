@@ -10,6 +10,7 @@
 #include "corpus/generator.h"
 #include "ie/pipeline.h"
 #include "ie/standard.h"
+#include "obs/flight_recorder.h"
 #include "serve/frontend.h"
 
 namespace structura::core {
@@ -262,6 +263,40 @@ TEST_F(SystemFixture, SuggestAndRunForms) {
   double got = 0;
   rel->At(0, "result").ToNumber(&got);
   EXPECT_NEAR(got, truth_avg, 8.0);
+}
+
+TEST_F(SystemFixture, SdlAndFormChargeEqualRowsScanned) {
+  ASSERT_TRUE(sys->RunProgram(
+                     "CREATE VIEW facts AS EXTRACT infobox, "
+                     "temp_sentence FROM pages;")
+                  .ok());
+  ASSERT_TRUE(sys->BuildBeliefsFromView("facts").ok());
+  const uint64_t facts = sys->View("facts")->size();
+  const char* sdl =
+      "SELECT subject, AVG(value) AS t FROM facts "
+      "WHERE attribute LIKE \"temp_%\" GROUP BY subject;";
+  query::QueryForm form;
+  form.query.source_view = "facts";
+  form.query.where = {{"attribute", query::CompareOp::kLike,
+                       query::Value::Str("temp_%")}};
+  form.query.group_by = {"subject"};
+  form.query.aggregates = {{query::AggFn::kAvg, "value", "t"}};
+  auto rows_scanned = [](auto run) {
+    obs::CostAccumulator acc;
+    obs::ScopedCostContext scope(&acc);
+    EXPECT_TRUE(run());
+    return acc.Snapshot()[obs::CostDim::kRowsScanned];
+  };
+  for (bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    uint64_t hits = sys->result_cache()->stats().hits;
+    uint64_t via_sdl = rows_scanned([&] { return sys->Query(sdl).ok(); });
+    uint64_t via_form = rows_scanned([&] { return sys->RunForm(form).ok(); });
+    EXPECT_EQ(via_sdl, via_form);
+    // A miss scans the whole view once; a hit scans nothing.
+    EXPECT_EQ(via_sdl, warm ? 0u : facts);
+    EXPECT_EQ(sys->result_cache()->stats().hits, hits + (warm ? 2u : 0u));
+  }
 }
 
 TEST(SchemaUnifyTest, RepairsHeterogeneousVocabulary) {

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "corpus/generator.h"
 #include "ie/standard.h"
 #include "lang/executor.h"
 #include "lang/optimizer.h"
 #include "lang/parser.h"
 #include "lang/plan.h"
+#include "obs/flight_recorder.h"
+#include "query/result_cache.h"
 
 namespace structura::lang {
 namespace {
@@ -161,6 +164,23 @@ struct LangFixture : public ::testing::Test {
     options.seed = 21;
     corpus::GenerateCorpus(options, &docs, &truth);
     ctx = MakeContext(&docs, &owned, &matchers);
+  }
+
+  /// Simulates a crawl in which `n` city pages changed: each gains a
+  /// "landmark" infobox entry and is marked dirty for REFRESH VIEW.
+  void TouchCityPages(size_t n) {
+    ctx->dirty_docs.clear();
+    size_t changed = 0;
+    for (text::Document& d : docs.docs) {
+      if (changed >= n) break;
+      if (d.categories.empty() || d.categories[0] != "City") continue;
+      size_t pos = d.text.find("| population = ");
+      if (pos == std::string::npos) continue;
+      d.text.insert(pos, "| landmark = Grand Fountain\n");
+      ctx->dirty_docs.insert(d.id);
+      ++changed;
+    }
+    ASSERT_EQ(changed, n);
   }
 
   text::DocumentCollection docs;
@@ -387,22 +407,7 @@ TEST_F(LangFixture, RefreshViewReextractsOnlyDirtyDocs) {
                   .ok());
   size_t before_rows = ctx->views.at("v").size();
 
-  // Simulate a crawl where two city pages changed: their temperature
-  // infobox entry gains a new value.
-  ctx->dirty_docs.clear();
-  text::DocumentCollection& mutable_docs =
-      const_cast<text::DocumentCollection&>(*ctx->docs);
-  size_t changed = 0;
-  for (text::Document& d : mutable_docs.docs) {
-    if (changed >= 2) break;
-    if (d.categories.empty() || d.categories[0] != "City") continue;
-    size_t pos = d.text.find("| population = ");
-    if (pos == std::string::npos) continue;
-    d.text.insert(pos, "| landmark = Grand Fountain\n");
-    ctx->dirty_docs.insert(d.id);
-    ++changed;
-  }
-  ASSERT_EQ(changed, 2u);
+  TouchCityPages(2);
 
   size_t runs_before = ctx->extractor_runs;
   auto results = interp.Run("REFRESH VIEW v;");
@@ -485,6 +490,108 @@ TEST_F(LangFixture, ViewsComposeAcrossStatements) {
     EXPECT_GE(rel->At(i - 1, "avg_temp").as_double(),
               rel->At(i, "avg_temp").as_double());
   }
+}
+
+// ------------------------------------------------ In-place view reads
+
+/// Every row, rendered (ToString's default shows only the first 20).
+std::string AllRows(const query::Relation& rel) {
+  return rel.ToString(rel.size());
+}
+
+TEST_F(LangFixture, ViewRedefinedFromItself) {
+  Interpreter interp(ctx.get());
+  ASSERT_TRUE(interp.Run("CREATE VIEW v AS EXTRACT infobox FROM pages;").ok());
+  auto expected = query::Filter(
+      ctx->views.at("v"), {query::Condition{"attribute", query::CompareOp::kEq,
+                                            query::Value::Str("population")}});
+  ASSERT_TRUE(expected.ok());
+  ASSERT_GT(expected->size(), 0u);
+  ASSERT_TRUE(interp
+                  .Run("CREATE VIEW v AS SELECT * FROM v "
+                       "WHERE attribute = \"population\";")
+                  .ok());
+  EXPECT_EQ(AllRows(ctx->views.at("v")), AllRows(*expected));
+}
+
+TEST_F(LangFixture, ViewJoinedWithItself) {
+  Interpreter interp(ctx.get());
+  ASSERT_TRUE(interp
+                  .Run("CREATE VIEW v AS EXTRACT infobox FROM pages "
+                       "WHERE category = \"City\";")
+                  .ok());
+  const query::Relation copy = ctx->views.at("v");
+  auto expected = query::HashJoin(copy, copy, "subject", "subject");
+  ASSERT_TRUE(expected.ok());
+  auto joined = interp.Query("SELECT * FROM v JOIN v ON subject = subject;");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  EXPECT_GT(joined->size(), copy.size());
+  EXPECT_EQ(AllRows(*joined), AllRows(*expected));
+  EXPECT_EQ(AllRows(ctx->views.at("v")), AllRows(copy));
+}
+
+TEST_F(LangFixture, SelectStarResultOutlivesRefresh) {
+  Interpreter interp(ctx.get());
+  ASSERT_TRUE(interp
+                  .Run("CREATE VIEW v AS EXTRACT infobox FROM pages "
+                       "WHERE category = \"City\";")
+                  .ok());
+  auto result = interp.Query("SELECT * FROM v;");
+  ASSERT_TRUE(result.ok());
+  const std::string original = AllRows(ctx->views.at("v"));
+  ASSERT_EQ(AllRows(*result), original);
+  TouchCityPages(2);
+  ASSERT_TRUE(interp.Run("REFRESH VIEW v;").ok());
+  EXPECT_NE(AllRows(ctx->views.at("v")), original);
+  EXPECT_EQ(AllRows(*result), original);
+}
+
+TEST_F(LangFixture, CachedSelectMatchesFreshRunAfterRefresh) {
+  query::QueryResultCache cache;
+  ctx->cache = &cache;
+  Interpreter interp(ctx.get());
+  ASSERT_TRUE(
+      interp.Run("CREATE VIEW facts AS EXTRACT infobox FROM pages;").ok());
+  const char* sdl =
+      "SELECT attribute, COUNT(*) AS n FROM facts "
+      "WHERE category = \"City\" GROUP BY attribute ORDER BY attribute;";
+  ASSERT_TRUE(interp.Query(sdl).ok());
+  auto warm = interp.Query(sdl);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(cache.stats().hits, 1u);
+
+  TouchCityPages(2);
+  ASSERT_TRUE(interp.Run("REFRESH VIEW facts;").ok());
+  auto cached = interp.Query(sdl);
+  ASSERT_TRUE(cached.ok());
+  ExecutionContext uncached_ctx = *ctx;
+  uncached_ctx.cache = nullptr;
+  auto fresh = Interpreter(&uncached_ctx).Query(sdl);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(AllRows(*cached), AllRows(*fresh));
+  EXPECT_NE(AllRows(*cached), AllRows(*warm));  // landmark rows
+}
+
+TEST_F(LangFixture, ParallelExtractChargesEveryExtractorCall) {
+  ThreadPool pool(4);
+  auto charged = [&](size_t parallelism) {
+    ExecutionContext run = *ctx;
+    run.exec.parallelism = parallelism;
+    run.exec.pool = &pool;
+    obs::CostAccumulator acc;
+    obs::ScopedCostContext scope(&acc);
+    Interpreter interp(&run);
+    EXPECT_TRUE(interp
+                    .Run("CREATE VIEW v AS EXTRACT infobox, temp_sentence "
+                         "FROM pages;")
+                    .ok());
+    uint64_t calls = acc.Snapshot()[obs::CostDim::kExtractorCalls];
+    EXPECT_EQ(calls, run.extractor_runs);
+    return calls;
+  };
+  uint64_t serial = charged(1);
+  EXPECT_GT(serial, 0u);
+  EXPECT_EQ(charged(4), serial);
 }
 
 }  // namespace
