@@ -92,6 +92,7 @@ BENCHMARK(BM_CommitThroughputByPolicy)
     ->Arg(static_cast<int>(WalSyncPolicy::kAlways))
     ->Arg(static_cast<int>(WalSyncPolicy::kGroupCommit))
     ->Arg(static_cast<int>(WalSyncPolicy::kOff))
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 /// Concurrent committers on disjoint rows: where group commit earns its

@@ -127,7 +127,7 @@ void BM_CacheWarmHit(benchmark::State& state) {
   cache.Insert("q", cache.epochs().Snapshot({"view:facts"}), *cold, cost);
   for (auto _ : state) {
     auto hit = cache.Lookup("q");
-    if (!hit.has_value()) std::abort();
+    if (hit == nullptr) std::abort();
     benchmark::DoNotOptimize(hit->size());
   }
 }

@@ -1130,7 +1130,12 @@ Result<std::vector<query::SearchHit>> System::HybridSearch(
   query::HybridQuery hq;
   hq.keywords = keywords;
   hq.structured = conditions;
-  return query::HybridSearch(keyword_index_, *rel, hq, k, intr, ctx_.exec);
+  hq.fact_view = fact_view_;
+  return query::HybridSearch(
+      keyword_index_, *rel, hq, k, intr, ctx_.exec,
+      [&](const query::StructuredQuery& q) {
+        return RunOnFactView(q, *rel, intr);
+      });
 }
 
 Result<query::HybridAnswer> System::HybridSearchDegraded(
@@ -1162,10 +1167,15 @@ Result<query::HybridAnswer> System::HybridSearchDegraded(
   query::HybridQuery hq;
   hq.keywords = keywords;
   hq.structured = conditions;
+  hq.fact_view = fact_view_;
+  // Without a bound view the structured side is marked unavailable
+  // above, so neither the empty relation nor the runner is ever read.
   static const query::Relation kEmptyFacts;
   return query::HybridSearchDegradable(
       keyword_index_, rel != nullptr ? *rel : kEmptyFacts, hq, k, fb, intr,
-      ctx_.exec);
+      ctx_.exec, [&](const query::StructuredQuery& q) {
+        return RunOnFactView(q, *rel, intr);
+      });
 }
 
 Result<query::Relation> System::RunForm(const query::QueryForm& form,
@@ -1175,34 +1185,42 @@ Result<query::Relation> System::RunForm(const query::QueryForm& form,
     return Status::FailedPrecondition(
         "no fact view bound (call BuildBeliefsFromView)");
   }
-  // Forms run over exactly one input — the bound fact view — so their
-  // cache entries carry a single epoch. The fingerprint is the rendered
-  // SQL: two forms with identical SQL are the same query.
+  STRUCTURA_ASSIGN_OR_RETURN(std::shared_ptr<const query::Relation> out,
+                             RunOnFactView(form.query, *rel, intr));
+  return *out;
+}
+
+Result<std::shared_ptr<const query::Relation>> System::RunOnFactView(
+    const query::StructuredQuery& q, const query::Relation& facts,
+    const Interrupt& intr) const {
+  // Queries here run over exactly one input — the bound fact view — so
+  // their cache entries carry a single epoch. The fingerprint is the
+  // rendered SQL: two queries with identical SQL are the same query.
   bool use_cache =
       query_cache_ != nullptr && (!ctx_.cache_gate || ctx_.cache_gate());
   std::string fingerprint;
   query::EpochVector at;
   if (use_cache) {
-    fingerprint = "form:" + fact_view_ + ":" + form.query.ToSql();
+    fingerprint = "form:" + fact_view_ + ":" + q.ToSql();
     at = query_cache_->epochs().Snapshot({"view:" + fact_view_});
-    if (std::optional<query::Relation> hit =
+    if (std::shared_ptr<const query::Relation> hit =
             query_cache_->Lookup(fingerprint)) {
-      return std::move(*hit);
+      return hit;
     }
   }
   int64_t started_nanos = clock()->NowNanos();
   STRUCTURA_ASSIGN_OR_RETURN(
       query::Relation out,
-      query::ExecuteStructuredQuery(form.query, *rel, intr, ctx_.exec));
+      query::ExecuteStructuredQuery(q, facts, intr, ctx_.exec));
   if (use_cache) {
     obs::CostVector cost;
     cost.v[static_cast<size_t>(obs::CostDim::kCpuNanos)] =
         static_cast<uint64_t>(
             std::max<int64_t>(0, clock()->NowNanos() - started_nanos));
-    cost.v[static_cast<size_t>(obs::CostDim::kRowsScanned)] = rel->size();
+    cost.v[static_cast<size_t>(obs::CostDim::kRowsScanned)] = facts.size();
     query_cache_->Insert(fingerprint, std::move(at), out, cost);
   }
-  return out;
+  return std::make_shared<const query::Relation>(std::move(out));
 }
 
 }  // namespace structura::core

@@ -398,6 +398,17 @@ class System {
   debugger::SemanticDebugger& semantic_debugger() { return debugger_; }
 
  private:
+  /// Runs `q` over the bound fact view `facts` through the result cache —
+  /// the one cache site forms and hybrid structured sides share. Entries
+  /// are keyed "form:<fact view>:<SQL>" and snapshotted against
+  /// "view:<fact view>" before execution; admission cost is the injected
+  /// clock's elapsed time plus the view size as rows scanned. The
+  /// cache_gate (brownout, critical health, per-request no-cache) skips
+  /// both lookup and insert.
+  Result<std::shared_ptr<const query::Relation>> RunOnFactView(
+      const query::StructuredQuery& q, const query::Relation& facts,
+      const Interrupt& intr) const;
+
   explicit System(Options options);
 
   Env* env() const {

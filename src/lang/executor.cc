@@ -496,9 +496,9 @@ Result<Interpreter::StatementResult> Interpreter::RunStatement(
   if (use_cache) {
     fingerprint = PlanFingerprint(*plan);
     at = ctx_->cache->epochs().Snapshot(CollectPlanInputs(*plan));
-    if (std::optional<query::Relation> hit =
+    if (std::shared_ptr<const query::Relation> hit =
             ctx_->cache->Lookup(fingerprint)) {
-      result.relation = std::move(*hit);
+      result.relation = *hit;
       result.has_relation = true;
       result.text = StrFormat("%zu rows", result.relation.size());
       return result;

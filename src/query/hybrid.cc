@@ -1,6 +1,6 @@
 #include "query/hybrid.h"
 
-#include <set>
+#include <algorithm>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -9,23 +9,43 @@ namespace structura::query {
 
 namespace {
 
-/// Runs the structured side: the set of qualifying document ids.
-Result<std::set<int64_t>> QualifyingDocs(const Relation& facts,
-                                         const std::vector<Condition>& conds,
-                                         const Interrupt& intr,
-                                         const ExecutorOptions& opts) {
-  STRUCTURA_ASSIGN_OR_RETURN(Relation qualifying,
-                             Filter(facts, conds, intr, opts));
-  int doc_col = qualifying.ColumnIndex("doc");
-  if (doc_col < 0) {
-    return Status::InvalidArgument("facts relation lacks a doc column");
+/// The structured side as a query (see StructuredRunner).
+StructuredQuery StructuredSide(const HybridQuery& query) {
+  StructuredQuery q;
+  q.source_view = query.fact_view;
+  q.where = query.structured;
+  q.group_by = {"doc"};
+  q.order_by = "doc";
+  return q;
+}
+
+/// Runs the structured side and reads its answer: the integer doc ids,
+/// ascending. Null and string docs never qualify.
+Result<std::vector<int64_t>> RunStructuredSide(const Relation& facts,
+                                               const HybridQuery& query,
+                                               const Interrupt& intr,
+                                               const ExecutorOptions& opts,
+                                               const StructuredRunner& run) {
+  StructuredQuery side = StructuredSide(query);
+  std::shared_ptr<const Relation> docs;
+  if (run) {
+    STRUCTURA_ASSIGN_OR_RETURN(docs, run(side));
+  } else {
+    STRUCTURA_ASSIGN_OR_RETURN(
+        Relation out, ExecuteStructuredQuery(side, facts, intr, opts));
+    docs = std::make_shared<const Relation>(std::move(out));
   }
-  std::set<int64_t> doc_ids;
-  for (const Row& row : qualifying.rows()) {
-    const Value& v = row[static_cast<size_t>(doc_col)];
-    if (v.type() == rdbms::ValueType::kInt) doc_ids.insert(v.as_int());
+  std::vector<int64_t> ids;
+  ids.reserve(docs->size());
+  for (const Row& row : docs->rows()) {
+    if (row[0].type() == rdbms::ValueType::kInt) ids.push_back(row[0].as_int());
   }
-  return doc_ids;
+  return ids;
+}
+
+bool Qualifies(const std::vector<int64_t>& ids, text::DocId doc) {
+  return std::binary_search(ids.begin(), ids.end(),
+                            static_cast<int64_t>(doc));
 }
 
 /// True when a side's failure should degrade the ladder rather than
@@ -48,7 +68,8 @@ Result<std::vector<SearchHit>> HybridSearch(const KeywordIndex& index,
                                             const Relation& facts,
                                             const HybridQuery& query,
                                             size_t k, const Interrupt& intr,
-                                            const ExecutorOptions& opts) {
+                                            const ExecutorOptions& opts,
+                                            const StructuredRunner& run) {
   TRACE_SPAN("query.hybrid");
   static obs::Counter* searches =
       obs::MetricsRegistry::Default().GetCounter("query.hybrid.searches");
@@ -56,10 +77,10 @@ Result<std::vector<SearchHit>> HybridSearch(const KeywordIndex& index,
       "query.hybrid.latency_ns");
   searches->Increment();
   obs::ScopedLatency record_latency(latency);
-  // 1. Structured side: the set of qualifying documents.
+  // 1. Structured side: the qualifying documents, ascending.
   STRUCTURA_ASSIGN_OR_RETURN(
-      std::set<int64_t> doc_ids,
-      QualifyingDocs(facts, query.structured, intr, opts));
+      std::vector<int64_t> doc_ids,
+      RunStructuredSide(facts, query, intr, opts, run));
 
   // 2. IR side: rank broadly, then keep qualifying docs. Over-fetch so
   // filtering still leaves k results when possible.
@@ -68,7 +89,7 @@ Result<std::vector<SearchHit>> HybridSearch(const KeywordIndex& index,
       index.Search(query.keywords, k * 10 + 50, intr, opts));
   std::vector<SearchHit> out;
   for (const SearchHit& hit : hits) {
-    if (doc_ids.count(static_cast<int64_t>(hit.doc)) == 0) continue;
+    if (!Qualifies(doc_ids, hit.doc)) continue;
     out.push_back(hit);
     if (out.size() >= k) break;
   }
@@ -92,7 +113,8 @@ Result<HybridAnswer> HybridSearchDegradable(const KeywordIndex& index,
                                             const HybridQuery& query, size_t k,
                                             const HybridFallback& fallback,
                                             const Interrupt& intr,
-                                            const ExecutorOptions& opts) {
+                                            const ExecutorOptions& opts,
+                                            const StructuredRunner& run) {
   TRACE_SPAN("query.hybrid");
   static obs::Counter* searches =
       obs::MetricsRegistry::Default().GetCounter("query.hybrid.searches");
@@ -123,11 +145,11 @@ Result<HybridAnswer> HybridSearchDegradable(const KeywordIndex& index,
 
   // Rung 1 input: the structured side, dropped (not fatal) when it
   // fails with infrastructure trouble.
-  std::set<int64_t> doc_ids;
+  std::vector<int64_t> doc_ids;
   bool have_docs = false;
   if (structured_ok) {
-    Result<std::set<int64_t>> docs =
-        QualifyingDocs(facts, query.structured, intr, opts);
+    Result<std::vector<int64_t>> docs =
+        RunStructuredSide(facts, query, intr, opts, run);
     if (docs.ok()) {
       doc_ids = std::move(docs).value();
       have_docs = true;
@@ -149,7 +171,7 @@ Result<HybridAnswer> HybridSearchDegradable(const KeywordIndex& index,
       if (have_docs) {
         ans.mode = HybridMode::kFull;
         for (const SearchHit& hit : hits.value()) {
-          if (doc_ids.count(static_cast<int64_t>(hit.doc)) == 0) continue;
+          if (!Qualifies(doc_ids, hit.doc)) continue;
           ans.hits.push_back(hit);
           if (ans.hits.size() >= k) break;
         }

@@ -1,12 +1,15 @@
 #ifndef STRUCTURA_QUERY_HYBRID_H_
 #define STRUCTURA_QUERY_HYBRID_H_
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "query/keyword_index.h"
 #include "query/relation.h"
+#include "query/structured_query.h"
 
 namespace structura::query {
 
@@ -18,18 +21,40 @@ struct HybridQuery {
   /// Conjunctive conditions evaluated per fact row; a document qualifies
   /// when at least one of its fact rows satisfies all conditions.
   std::vector<Condition> structured;
+  /// Name of the fact view the conditions read. It only names the source
+  /// in the structured side's SQL (and so in a result-cache fingerprint).
+  std::string fact_view = "facts";
 };
+
+/// Evaluates the structured side of a hybrid query, which is an
+/// ordinary structured query:
+///
+///   SELECT doc FROM <fact_view> WHERE <structured> GROUP BY doc
+///   ORDER BY doc
+///
+/// i.e. the distinct qualifying document ids in ascending order. Only
+/// integer doc values qualify; null and string docs are skipped when the
+/// answer is read. (GROUP BY keys on a value's rendering, so a string doc
+/// spelling an integer id, e.g. "7", falls into doc 7's group; when it is
+/// that group's first row, doc 7 does not qualify.)
+/// An empty runner executes the query directly over the `facts`
+/// argument; core::System passes one that goes through its result
+/// cache, so a repeated predicate set scans the view once and later
+/// searches read the cached relation in place.
+using StructuredRunner = std::function<Result<std::shared_ptr<const Relation>>(
+    const StructuredQuery&)>;
 
 /// Ranks documents by BM25 over `keywords`, keeping only documents whose
 /// extracted facts (a relation with a "doc" column) satisfy the
 /// structured predicates. `facts` must contain every column referenced
 /// by the conditions.
-/// `intr` is polled through both sides (structured filter scan and BM25
+/// `intr` is polled through both sides (structured scan and BM25
 /// scoring); evaluation stops with kDeadlineExceeded / kCancelled.
 Result<std::vector<SearchHit>> HybridSearch(
     const KeywordIndex& index, const Relation& facts,
     const HybridQuery& query, size_t k,
-    const Interrupt& intr = Interrupt{}, const ExecutorOptions& opts = {});
+    const Interrupt& intr = Interrupt{}, const ExecutorOptions& opts = {},
+    const StructuredRunner& run = {});
 
 /// How a degradable hybrid search was actually answered.
 enum class HybridMode {
@@ -81,7 +106,8 @@ Result<HybridAnswer> HybridSearchDegradable(
     const KeywordIndex& index, const Relation& facts,
     const HybridQuery& query, size_t k,
     const HybridFallback& fallback = HybridFallback{},
-    const Interrupt& intr = Interrupt{}, const ExecutorOptions& opts = {});
+    const Interrupt& intr = Interrupt{}, const ExecutorOptions& opts = {},
+    const StructuredRunner& run = {});
 
 }  // namespace structura::query
 

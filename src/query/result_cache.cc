@@ -81,7 +81,7 @@ EpochVector EpochMap::Snapshot(
 
 QueryResultCache::QueryResultCache(Options opts) : options_(opts) {}
 
-std::optional<Relation> QueryResultCache::Lookup(
+std::shared_ptr<const Relation> QueryResultCache::Lookup(
     const std::string& fingerprint) {
   TRACE_SPAN("query.cache.lookup");
   std::unique_lock<std::mutex> lock(mutex_);
@@ -97,11 +97,11 @@ std::optional<Relation> QueryResultCache::Lookup(
     if (current) {
       lru_.splice(lru_.begin(), lru_, it->second);
       ++stats_.hits;
-      Relation out = it->second->result;
+      std::shared_ptr<const Relation> result = it->second->result;
       lock.unlock();
       CacheMetrics::Get().hit->Increment();
       TRACE_SPAN("query.cache.hit");
-      return out;
+      return result;
     }
     // Some input moved on since this entry was computed: the entry is
     // garbage by construction, drop it now. This lazy erase is what
@@ -120,7 +120,7 @@ std::optional<Relation> QueryResultCache::Lookup(
   lock.unlock();
   CacheMetrics::Get().miss->Increment();
   TRACE_SPAN("query.cache.miss");
-  return std::nullopt;
+  return nullptr;
 }
 
 void QueryResultCache::Insert(const std::string& fingerprint, EpochVector at,
@@ -134,6 +134,7 @@ void QueryResultCache::Insert(const std::string& fingerprint, EpochVector at,
     CacheMetrics::Get().reject->Increment();
     return;
   }
+  auto shared = std::make_shared<const Relation>(std::move(result));
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(fingerprint);
   if (it != index_.end()) {
@@ -141,7 +142,7 @@ void QueryResultCache::Insert(const std::string& fingerprint, EpochVector at,
     lru_.erase(it->second);
     index_.erase(it);
   }
-  lru_.push_front(Entry{fingerprint, std::move(at), std::move(result), bytes});
+  lru_.push_front(Entry{fingerprint, std::move(at), std::move(shared), bytes});
   index_[fingerprint] = lru_.begin();
   bytes_ += bytes;
   EvictLocked();

@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -86,10 +86,13 @@ class QueryResultCache {
   const EpochMap& epochs() const { return epochs_; }
 
   /// Returns the cached relation iff an entry exists AND every epoch it
-  /// was computed at still matches the live map. A mismatching entry is
-  /// erased on the spot (counted as an invalidation) and reported as a
-  /// miss.
-  std::optional<Relation> Lookup(const std::string& fingerprint);
+  /// was computed at still matches the live map; nullptr otherwise. A
+  /// mismatching entry is erased on the spot (counted as an
+  /// invalidation) and reported as a miss. The relation is shared with
+  /// the cache and never mutated: only the pointer is copied under the
+  /// lock, so concurrent hits do not queue behind each other, and a
+  /// caller that needs its own copy makes it after the lookup returns.
+  std::shared_ptr<const Relation> Lookup(const std::string& fingerprint);
 
   /// Admits `result` under `fingerprint`, recorded at `at` (the epoch
   /// snapshot taken before execution — see EpochMap::Snapshot). Entries
@@ -108,7 +111,8 @@ class QueryResultCache {
   struct Entry {
     std::string fingerprint;
     EpochVector at;
-    Relation result;
+    /// Immutable once admitted: readers share it outside the lock.
+    std::shared_ptr<const Relation> result;
     size_t bytes = 0;
   };
 

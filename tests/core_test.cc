@@ -1,5 +1,7 @@
+#include <atomic>
 #include <filesystem>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,8 @@
 #include "ie/standard.h"
 #include "obs/flight_recorder.h"
 #include "serve/frontend.h"
+#include "serve/health.h"
+#include "serve/request_context.h"
 
 namespace structura::core {
 namespace {
@@ -297,6 +301,161 @@ TEST_F(SystemFixture, SdlAndFormChargeEqualRowsScanned) {
     EXPECT_EQ(via_sdl, warm ? 0u : facts);
     EXPECT_EQ(sys->result_cache()->stats().hits, hits + (warm ? 2u : 0u));
   }
+}
+
+// Hybrid search's structured side runs as a StructuredQuery through the
+// same result-cache site as forms. These tests pin that site's rules for
+// hybrid: warm answers equal uncached ones, REFRESH VIEW invalidates,
+// the cache gate is honoured, and a miss costs one view scan.
+struct HybridSearchCacheTest : public SystemFixture {
+  void SetUp() override {
+    SystemFixture::SetUp();
+    ASSERT_TRUE(
+        sys->RunProgram("CREATE VIEW facts AS EXTRACT infobox FROM pages;")
+            .ok());
+    ASSERT_TRUE(sys->BuildBeliefsFromView("facts").ok());
+  }
+
+  /// attribute = "population" AND value >= floor.
+  static std::vector<query::Condition> Floor(int64_t floor) {
+    return {{"attribute", query::CompareOp::kEq,
+             query::Value::Str("population")},
+            {"value", query::CompareOp::kGe, query::Value::Int(floor)}};
+  }
+
+  using Answer = std::vector<std::pair<text::DocId, double>>;
+
+  static Answer Of(const std::vector<query::SearchHit>& hits) {
+    Answer out;
+    for (const query::SearchHit& h : hits) out.emplace_back(h.doc, h.score);
+    return out;
+  }
+
+  Answer Search(int64_t floor) {
+    auto hits = sys->HybridSearch(kKeywords, Floor(floor), 10);
+    EXPECT_TRUE(hits.ok()) << hits.status().ToString();
+    return hits.ok() ? Of(*hits) : Answer{};
+  }
+
+  Answer SearchDegraded(int64_t floor) {
+    auto ans = sys->HybridSearchDegraded(kKeywords, Floor(floor), 10);
+    EXPECT_TRUE(ans.ok()) << ans.status().ToString();
+    if (!ans.ok()) return {};
+    EXPECT_EQ(ans->mode, query::HybridMode::kFull);
+    return Of(ans->hits);
+  }
+
+  /// A fresh execution that neither reads nor fills the cache.
+  Answer Uncached(int64_t floor) {
+    serve::ScopedCacheBypass bypass(true);
+    return Search(floor);
+  }
+
+  static constexpr const char* kKeywords = "city United States";
+};
+
+TEST_F(HybridSearchCacheTest, WarmHitMatchesUncachedAnswer) {
+  query::QueryResultCache* cache = sys->result_cache();
+  ASSERT_NE(cache, nullptr);
+  for (int64_t floor : {10000, 100000}) {
+    SCOPED_TRACE(floor);
+    Answer uncached = Uncached(floor);
+    ASSERT_FALSE(uncached.empty());
+    query::QueryResultCache::Stats before = cache->stats();
+    EXPECT_EQ(Search(floor), uncached);  // cold: fills the cache
+    EXPECT_EQ(cache->stats().misses, before.misses + 1);
+    EXPECT_EQ(cache->stats().hits, before.hits);
+    EXPECT_EQ(Search(floor), uncached);  // warm
+    EXPECT_EQ(cache->stats().hits, before.hits + 1);
+    // The degradable path shares the entry.
+    EXPECT_EQ(SearchDegraded(floor), uncached);
+    EXPECT_EQ(cache->stats().hits, before.hits + 2);
+    EXPECT_EQ(cache->stats().misses, before.misses + 1);
+  }
+}
+
+TEST_F(HybridSearchCacheTest, RefreshViewInvalidates) {
+  query::QueryResultCache* cache = sys->result_cache();
+  Answer warm = Search(10000);
+  ASSERT_FALSE(warm.empty());
+  ASSERT_EQ(Search(10000), warm);
+  // Every city shrinks below the floor; only the refreshed view knows.
+  text::DocumentCollection day2 = docs;
+  for (text::Document& d : day2.docs) {
+    size_t pos = d.text.find("| population = ");
+    if (pos == std::string::npos) continue;
+    pos += std::string("| population = ").size();
+    d.text.replace(pos, d.text.find('\n', pos) - pos, "5,000");
+  }
+  ASSERT_TRUE(sys->IngestCrawl(day2).ok());
+  ASSERT_TRUE(sys->RunProgram("REFRESH VIEW facts;").ok());
+
+  query::QueryResultCache::Stats before = cache->stats();
+  Answer after = Search(10000);
+  EXPECT_EQ(cache->stats().misses, before.misses + 1);
+  EXPECT_EQ(cache->stats().invalidations, before.invalidations + 1);
+  EXPECT_EQ(cache->stats().hits, before.hits);
+  EXPECT_EQ(after, Uncached(10000));
+  EXPECT_TRUE(after.empty());  // the stale answer was not served
+}
+
+TEST_F(HybridSearchCacheTest, ClosedCacheGateInsertsNothing) {
+  query::QueryResultCache* cache = sys->result_cache();
+  Answer uncached = Uncached(10000);
+  // Per-request no-cache: fresh execution, counters untouched.
+  query::QueryResultCache::Stats before = cache->stats();
+  EXPECT_EQ(Uncached(10000), uncached);
+  EXPECT_EQ(cache->stats().entries, before.entries);
+  EXPECT_EQ(cache->stats().misses, before.misses);
+
+  // Critical health closes the gate for every caller. The subsystem is
+  // neither query side, so the degradable path still answers in full.
+  sys->health().Register("test.subsystem", "test", [] {
+    return serve::HealthSample{serve::HealthState::kCritical, "test"};
+  });
+  sys->health().Evaluate();
+  ASSERT_EQ(sys->health().Overall(), serve::HealthState::kCritical);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(Search(10000), uncached);
+    EXPECT_EQ(SearchDegraded(10000), uncached);
+  }
+  query::QueryResultCache::Stats after = cache->stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+}
+
+TEST_F(HybridSearchCacheTest, ColdCallChargesOneViewScanMoreThanWarm) {
+  const uint64_t facts = sys->View("facts")->size();
+  auto rows_scanned = [&] {
+    obs::CostAccumulator acc;
+    obs::ScopedCostContext scope(&acc);
+    EXPECT_TRUE(sys->HybridSearch(kKeywords, Floor(10000), 10).ok());
+    return acc.Snapshot()[obs::CostDim::kRowsScanned];
+  };
+  uint64_t cold = rows_scanned();
+  uint64_t warm = rows_scanned();
+  EXPECT_EQ(cold, warm + facts);
+}
+
+TEST_F(HybridSearchCacheTest, ConcurrentCallersGetUncachedAnswer) {
+  const int64_t floors[] = {10000, 100000};
+  const Answer want[] = {Uncached(floors[0]), Uncached(floors[1])};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 40; ++i) {
+        int which = (t + i) % 2;
+        Answer got = i % 3 == 0 ? SearchDegraded(floors[which])
+                                : Search(floors[which]);
+        if (got != want[which]) ++wrong;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(sys->result_cache()->stats().hits, 0u);
 }
 
 TEST(SchemaUnifyTest, RepairsHeterogeneousVocabulary) {

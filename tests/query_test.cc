@@ -1,4 +1,5 @@
 #include <map>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -508,6 +509,57 @@ TEST(HybridSearchTest, DegradableDoesNotAbsorbCallerMistakesOrDeadlines) {
       HybridSearchDegradable(index, facts, hq, 5, HybridFallback{}, intr);
   ASSERT_FALSE(expired.ok());
   EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST(HybridSearchTest, NonIntDocsNeverQualify) {
+  // Docs 0..3 are indexed; every fact row satisfies the predicate, but
+  // two carry a doc that is not an integer id (null, a string). Reading
+  // the structured side must skip them, not call as_int() on them.
+  KeywordIndex index;
+  for (text::DocId d = 0; d < 4; ++d) {
+    text::Document doc;
+    doc.id = d;
+    doc.title = "page " + std::to_string(d);
+    doc.text = "alpha city";
+    index.AddDocument(doc);
+  }
+  index.Finalize();
+  Relation facts({"doc", "attribute"});
+  facts.Append({Value::Int(2), Value::Str("population")}).ok();
+  facts.Append({Value::Null(), Value::Str("population")}).ok();
+  facts.Append({Value::Str("seven"), Value::Str("population")}).ok();
+  facts.Append({Value::Int(0), Value::Str("population")}).ok();
+  facts.Append({Value::Int(2), Value::Str("population")}).ok();
+  facts.Append({Value::Int(3), Value::Str("elevation")}).ok();
+  HybridQuery hq;
+  hq.keywords = "alpha city";
+  hq.structured = {
+      Condition{"attribute", CompareOp::kEq, Value::Str("population")}};
+  auto docs_of = [](const std::vector<SearchHit>& hits) {
+    std::set<text::DocId> out;
+    for (const SearchHit& h : hits) out.insert(h.doc);
+    return out;
+  };
+  const std::set<text::DocId> want = {0, 2};
+
+  auto hits = HybridSearch(index, facts, hq, 10);
+  ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+  EXPECT_EQ(docs_of(*hits), want);
+
+  auto full = HybridSearchDegradable(index, facts, hq, 10);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->mode, HybridMode::kFull);
+  EXPECT_EQ(docs_of(full->hits), want);
+
+  // Structured-only emits the qualifying ids in ascending order.
+  HybridFallback no_keyword;
+  no_keyword.keyword_available = false;
+  auto structured = HybridSearchDegradable(index, facts, hq, 10, no_keyword);
+  ASSERT_TRUE(structured.ok()) << structured.status().ToString();
+  EXPECT_EQ(structured->mode, HybridMode::kStructuredOnly);
+  ASSERT_EQ(structured->hits.size(), 2u);
+  EXPECT_EQ(structured->hits[0].doc, 0u);
+  EXPECT_EQ(structured->hits[1].doc, 2u);
 }
 
 TEST(StructuredQueryTest, ExecuteFilterAggregate) {

@@ -55,11 +55,11 @@ obs::CostVector CostOf(uint64_t score_nanos) {
 
 TEST(ResultCacheTest, HitReturnsInsertedResult) {
   QueryResultCache cache;
-  EXPECT_FALSE(cache.Lookup("q1").has_value());
+  EXPECT_EQ(cache.Lookup("q1"), nullptr);
   EpochVector at = cache.epochs().Snapshot({"table:t"});
   cache.Insert("q1", at, OneCell(7), CostOf(1000));
   auto hit = cache.Lookup("q1");
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->At(0, "v").as_int(), 7);
   QueryResultCache::Stats s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
@@ -71,9 +71,9 @@ TEST(ResultCacheTest, BumpInvalidatesLazily) {
   QueryResultCache cache;
   cache.Insert("q", cache.epochs().Snapshot({"table:t"}), OneCell(1),
                CostOf(1000));
-  ASSERT_TRUE(cache.Lookup("q").has_value());
+  ASSERT_NE(cache.Lookup("q"), nullptr);
   cache.epochs().Bump("table:t");
-  EXPECT_FALSE(cache.Lookup("q").has_value());
+  EXPECT_EQ(cache.Lookup("q"), nullptr);
   QueryResultCache::Stats s = cache.stats();
   EXPECT_EQ(s.invalidations, 1u);
   EXPECT_EQ(s.entries, 0u);
@@ -81,7 +81,7 @@ TEST(ResultCacheTest, BumpInvalidatesLazily) {
   cache.Insert("q2", cache.epochs().Snapshot({"table:t"}), OneCell(2),
                CostOf(1000));
   cache.epochs().Bump("table:other");
-  EXPECT_TRUE(cache.Lookup("q2").has_value());
+  EXPECT_NE(cache.Lookup("q2"), nullptr);
 }
 
 TEST(ResultCacheTest, SnapshotBeforeExecutionCatchesMidRunWrites) {
@@ -91,7 +91,7 @@ TEST(ResultCacheTest, SnapshotBeforeExecutionCatchesMidRunWrites) {
   EpochVector at = cache.epochs().Snapshot({"table:t"});
   cache.epochs().Bump("table:t");  // write commits while query runs
   cache.Insert("q", at, OneCell(42), CostOf(1000));
-  EXPECT_FALSE(cache.Lookup("q").has_value());
+  EXPECT_EQ(cache.Lookup("q"), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
@@ -101,11 +101,11 @@ TEST(ResultCacheTest, LruEvictsByEntryBudget) {
   QueryResultCache cache(opts);
   cache.Insert("a", {}, OneCell(1), CostOf(1000));
   cache.Insert("b", {}, OneCell(2), CostOf(1000));
-  ASSERT_TRUE(cache.Lookup("a").has_value());  // a is now MRU
+  ASSERT_NE(cache.Lookup("a"), nullptr);  // a is now MRU
   cache.Insert("c", {}, OneCell(3), CostOf(1000));
-  EXPECT_TRUE(cache.Lookup("a").has_value());
-  EXPECT_FALSE(cache.Lookup("b").has_value());  // LRU victim
-  EXPECT_TRUE(cache.Lookup("c").has_value());
+  EXPECT_NE(cache.Lookup("a"), nullptr);
+  EXPECT_EQ(cache.Lookup("b"), nullptr);  // LRU victim
+  EXPECT_NE(cache.Lookup("c"), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
@@ -116,10 +116,10 @@ TEST(ResultCacheTest, ByteBudgetEvictsAndRejectsOversized) {
   Relation big({"s"});
   big.Append({Value::Str(std::string(10000, 'x'))}).ok();
   cache.Insert("big", {}, big, CostOf(1000));  // alone over budget
-  EXPECT_FALSE(cache.Lookup("big").has_value());
+  EXPECT_EQ(cache.Lookup("big"), nullptr);
   EXPECT_EQ(cache.stats().rejected, 1u);
   cache.Insert("a", {}, OneCell(1), CostOf(1000));
-  EXPECT_TRUE(cache.Lookup("a").has_value());
+  EXPECT_NE(cache.Lookup("a"), nullptr);
   EXPECT_LE(cache.stats().bytes, 600u);
 }
 
@@ -128,10 +128,10 @@ TEST(ResultCacheTest, CostFloorRejectsCheapResults) {
   opts.min_cost_score = 1000000;
   QueryResultCache cache(opts);
   cache.Insert("cheap", {}, OneCell(1), CostOf(10));
-  EXPECT_FALSE(cache.Lookup("cheap").has_value());
+  EXPECT_EQ(cache.Lookup("cheap"), nullptr);
   EXPECT_EQ(cache.stats().rejected, 1u);
   cache.Insert("dear", {}, OneCell(2), CostOf(2000000));
-  EXPECT_TRUE(cache.Lookup("dear").has_value());
+  EXPECT_NE(cache.Lookup("dear"), nullptr);
 }
 
 TEST(ResultCacheTest, ClearDropsEntriesKeepsEpochs) {
@@ -140,7 +140,7 @@ TEST(ResultCacheTest, ClearDropsEntriesKeepsEpochs) {
   cache.Insert("q", cache.epochs().Snapshot({"table:t"}), OneCell(1),
                CostOf(1000));
   cache.Clear();
-  EXPECT_FALSE(cache.Lookup("q").has_value());
+  EXPECT_EQ(cache.Lookup("q"), nullptr);
   EXPECT_EQ(cache.epochs().Get("table:t"), 1u);
 }
 
